@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestStatsSnapshotParity keeps StatsSnapshot in lockstep with Stats: every
-// atomic counter must have a same-named plain field in the same order, and
-// Snapshot must copy each one. Adding a counter to Stats without extending
-// StatsSnapshot (or Snapshot) fails here instead of silently dropping the
-// counter from traces and tools.
+// TestStatsSnapshotParity checks that Stats and StatsSnapshot, both
+// instantiated from the one counter list, line up field for field, and
+// that Snapshot's array-view loop copies every counter into its own
+// field: a counter it dropped or misplaced would silently vanish from
+// traces and tools.
 func TestStatsSnapshotParity(t *testing.T) {
 	st := reflect.TypeOf(Stats{})
 	snapT := reflect.TypeOf(StatsSnapshot{})

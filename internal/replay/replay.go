@@ -61,23 +61,15 @@ func (r *Result) Divergence() string {
 // trace); divergences of a well-formed replay are reported in the Result.
 func Run(tr *trace.Trace) (*Result, error) {
 	h := tr.Header
-	// Boot through the scenario-API builder; zero header fields (old or
-	// hand-written traces) keep the same defaults the recorder used.
-	cfg := workload.NewConfig()
-	if h.MemoryMB != 0 {
-		cfg.MemoryMB = h.MemoryMB
-	}
-	if h.CPUs != 0 {
-		cfg.CPUs = h.CPUs
-	}
-	if h.DiskMB != 0 {
-		cfg.DiskMB = h.DiskMB
-	}
-	if h.ObjectCache != 0 {
-		cfg.ObjectCacheSize = h.ObjectCache
-	}
-	cfg.Strategy = pmap.Strategy(h.Strategy)
-	w, err := workload.BuildMachWorld(workload.Arch(h.Arch), cfg)
+	// Zero header fields (old or hand-written traces) get the same
+	// defaults the recorder's world resolved.
+	w, err := workload.BuildMachWorld(workload.Arch(h.Arch), workload.Config{
+		MemoryMB:        h.MemoryMB,
+		CPUs:            h.CPUs,
+		DiskMB:          h.DiskMB,
+		ObjectCacheSize: h.ObjectCache,
+		Strategy:        pmap.Strategy(h.Strategy),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("replay: booting world: %w", err)
 	}

@@ -4,9 +4,8 @@ package workload
 // describes an experiment independent of the machine it runs on;
 // Build(arch) boots the world (reporting construction errors instead of
 // panicking) and returns a World that can Run under a context and render
-// a typed Report. Functional options replace the flat Options struct and
-// are the only place fault injection, tiered paging and multi-tenancy
-// compose with world construction.
+// a typed Report. Functional options are the only place fault injection
+// and tiered paging compose with world construction.
 
 import (
 	"context"
@@ -22,8 +21,9 @@ import (
 	"machvm/internal/unixfs"
 )
 
-// Config is the resolved world configuration. Build it with NewConfig
-// and functional options; the zero value of each field means "default".
+// Config is a world configuration. Build it with NewConfig and
+// functional options, or as a literal: a zero size means its default,
+// which BuildMachWorld and BuildUnixWorld fill in (see withDefaults).
 type Config struct {
 	// MemoryMB is physical memory size (default 8).
 	MemoryMB int
@@ -43,13 +43,10 @@ type Config struct {
 	Pager core.PagerPolicy
 	// Injector, when set, wraps the default pager stack (outermost, so
 	// injected faults are what the kernel observes at the boundary).
-	Injector func(core.Pager) core.Pager
+	Injector func(k *core.Kernel, swap core.Pager) core.Pager
 	// TierBudget, when positive, interposes a compressed in-memory tier
 	// of that many bytes in front of the swap pager.
 	TierBudget int64
-	// Tenants is the tenant count for multi-tenant scenarios (default 1;
-	// single-tenant scenarios ignore it).
-	Tenants int
 	// Baseline selects the 4.3bsd-style comparison system instead of the
 	// Mach stack, for scenarios that support both sides.
 	Baseline bool
@@ -58,20 +55,37 @@ type Config struct {
 // Option adjusts a Config.
 type Option func(*Config)
 
-// NewConfig resolves options over the defaults.
+// NewConfig applies options to the zero Config.
 func NewConfig(opts ...Option) Config {
-	cfg := Config{
-		MemoryMB:        8,
-		CPUs:            1,
-		DiskMB:          64,
-		NBufs:           400,
-		ObjectCacheSize: 4096,
-		Tenants:         1,
-	}
+	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
+}
+
+// withDefaults is the one owner of the world defaults: it rejects
+// negative sizes and replaces each zero size with its default.
+func (c Config) withDefaults() (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"MemoryMB", &c.MemoryMB, 8},
+		{"CPUs", &c.CPUs, 1},
+		{"DiskMB", &c.DiskMB, 64},
+		{"NBufs", &c.NBufs, 400},
+		{"ObjectCacheSize", &c.ObjectCacheSize, 4096},
+	} {
+		if *f.v < 0 {
+			return c, fmt.Errorf("workload: %s must not be negative, got %d", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
+	}
+	return c, nil
 }
 
 // WithMemoryMB sets physical memory size.
@@ -98,17 +112,15 @@ func WithPagerPolicy(p core.PagerPolicy) Option { return func(c *Config) { c.Pag
 
 // WithInjector wraps the world's default pager stack — outermost, so the
 // kernel sees the injected behavior at the pager boundary. Compose fault
-// injectors here (e.g. pager.NewFlakyPager).
-func WithInjector(wrap func(core.Pager) core.Pager) Option {
+// injectors here (e.g. pager.NewFlakyPager); the booted kernel is passed
+// along so a replacement stack can report into its Stats.
+func WithInjector(wrap func(k *core.Kernel, swap core.Pager) core.Pager) Option {
 	return func(c *Config) { c.Injector = wrap }
 }
 
 // WithTiering interposes a compressed in-memory tier of budget bytes in
 // front of the swap pager.
 func WithTiering(budget int64) Option { return func(c *Config) { c.TierBudget = budget } }
-
-// WithTenants sets the tenant count for multi-tenant scenarios.
-func WithTenants(n int) Option { return func(c *Config) { c.Tenants = n } }
 
 // WithBaseline selects the 4.3bsd-style comparison system.
 func WithBaseline() Option { return func(c *Config) { c.Baseline = true } }
@@ -176,13 +188,16 @@ func bootMachine(spec Spec, cfg Config) *hw.Machine {
 	})
 }
 
-// BuildMachWorld boots Mach on the architecture with the resolved
-// configuration, applying tiering and fault injection to the swap-pager
+// BuildMachWorld boots Mach on the architecture with cfg's defaults
+// resolved, applying tiering and fault injection to the swap-pager
 // stack: swap ← compressed tier (WithTiering) ← injector (WithInjector,
 // outermost).
 func BuildMachWorld(a Arch, cfg Config) (*MachWorld, error) {
 	spec, err := specForErr(a)
 	if err != nil {
+		return nil, err
+	}
+	if cfg, err = cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 	machine := bootMachine(spec, cfg)
@@ -211,7 +226,7 @@ func BuildMachWorld(a Arch, cfg Config) (*MachWorld, error) {
 		swap = tier
 	}
 	if cfg.Injector != nil {
-		swap = cfg.Injector(swap)
+		swap = cfg.Injector(k, swap)
 	}
 	k.SetSwapPager(swap)
 	return &MachWorld{
@@ -228,11 +243,13 @@ func BuildMachWorld(a Arch, cfg Config) (*MachWorld, error) {
 }
 
 // BuildUnixWorld boots the traditional comparison system on identical
-// hardware, with an error path (the fix for NewUnixWorld's bare-pointer
-// signature).
+// hardware, with cfg's defaults resolved.
 func BuildUnixWorld(a Arch, cfg Config) (*UnixWorld, error) {
 	spec, err := specForErr(a)
 	if err != nil {
+		return nil, err
+	}
+	if cfg, err = cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 	machine := bootMachine(spec, cfg)

@@ -88,6 +88,7 @@ type CellResult struct {
 	FaultErrors         uint64 // tolerated per-task failures (OOM, teardown, pager)
 	PagerTimeouts       uint64
 	PagerErrors         uint64
+	ZtierStoredBytes    uint64 // bytes the cell's compressed tier accepted
 	InvariantViolations int
 	VirtualNS           int64
 }
@@ -188,9 +189,11 @@ func RunCell(ctx context.Context, a workload.Arch, c Cell, mc MatrixConfig) Cell
 			BackoffBase: time.Millisecond,
 			BackoffMax:  5 * time.Millisecond,
 		}),
-		workload.WithInjector(func(core.Pager) core.Pager {
+		workload.WithInjector(func(k *core.Kernel, _ core.Pager) core.Pager {
 			// Replace the swap stack wholesale: flaky(ztier(netpager)),
-			// the per-tenant-tier chain, served in-process.
+			// the per-tenant-tier chain, served in-process. The tier
+			// counts into the kernel's stats but charges no compression
+			// time, so cell virtual times stay those of the bare chain.
 			cli, srv := net.Pipe()
 			cp.served.Add(1)
 			go func() {
@@ -202,6 +205,7 @@ func RunCell(ctx context.Context, a workload.Arch, c Cell, mc MatrixConfig) Cell
 				Budget:            256 << 10,
 				PageSize:          pageSz,
 				WritebackDeadline: 200 * time.Millisecond,
+				Stats:             k.Stats(),
 			})
 			cp.flaky = pager.NewFlakyPager(cp.tier)
 			switch c.Pager {
@@ -223,6 +227,7 @@ func RunCell(ctx context.Context, a workload.Arch, c Cell, mc MatrixConfig) Cell
 	res.Faults = rep.Stats.Faults
 	res.PagerTimeouts = rep.Stats.PagerTimeouts
 	res.PagerErrors = rep.Stats.PagerErrors
+	res.ZtierStoredBytes = rep.Stats.ZtierStoredBytes
 	res.VirtualNS = rep.VirtualNS
 	if err != nil {
 		res.Reason = "run: " + err.Error()

@@ -112,6 +112,11 @@ func TestServerFaultMatrix(t *testing.T) {
 		if r.InvariantViolations != 0 {
 			t.Errorf("%s: %d invariant violations", r.Cell.Name(), r.InvariantViolations)
 		}
+		// OOM cells page through the compressed tier; its counters must
+		// reach the kernel's stats, not stay private to the tier.
+		if r.Cell.OOM && r.ZtierStoredBytes == 0 {
+			t.Errorf("%s: kernel stats saw no bytes stored in the compressed tier", r.Cell.Name())
+		}
 	}
 }
 
@@ -125,5 +130,8 @@ func TestServerMatrixRaceCell(t *testing.T) {
 	}
 	if r.InvariantViolations != 0 {
 		t.Fatalf("%d invariant violations", r.InvariantViolations)
+	}
+	if r.ZtierStoredBytes == 0 {
+		t.Fatal("kernel stats saw no bytes stored in the compressed tier")
 	}
 }

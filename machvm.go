@@ -319,22 +319,14 @@ func New(arch Arch, opts Options) (*System, error) {
 	default:
 		return nil, fmt.Errorf("machvm: unknown architecture %d", arch)
 	}
-	cfg := workload.NewConfig()
-	if opts.MemoryMB != 0 {
-		cfg.MemoryMB = opts.MemoryMB
-	}
-	if opts.CPUs != 0 {
-		cfg.CPUs = opts.CPUs
-	}
-	if opts.DiskMB != 0 {
-		cfg.DiskMB = opts.DiskMB
-	}
-	if opts.ObjectCacheSize != 0 {
-		cfg.ObjectCacheSize = opts.ObjectCacheSize
-	}
-	cfg.Strategy = opts.Strategy
-	cfg.Pager = opts.Pager
-	w, err := workload.BuildMachWorld(wa, cfg)
+	w, err := workload.BuildMachWorld(wa, workload.Config{
+		MemoryMB:        opts.MemoryMB,
+		CPUs:            opts.CPUs,
+		DiskMB:          opts.DiskMB,
+		Strategy:        opts.Strategy,
+		ObjectCacheSize: opts.ObjectCacheSize,
+		Pager:           opts.Pager,
+	})
 	if err != nil {
 		return nil, err
 	}
