@@ -13,8 +13,6 @@
 package ns32082
 
 import (
-	"sync"
-
 	"machvm/internal/hw"
 	"machvm/internal/pmap"
 	"machvm/internal/vmtypes"
@@ -102,185 +100,53 @@ func (mod *Module) CorrectFaultAccess(reported, mappingProt vmtypes.Prot) vmtype
 	return reported
 }
 
+// geometry: a block is one second-level table, zeroed table memory like
+// a VAX page-table page. The NS32082 has no large mappings, so the table
+// never promotes.
+var geometry = pmap.TableGeometry{
+	PageSize:     HWPageSize,
+	BlockPTEs:    l2Entries,
+	BlockBytes:   l2TableBytes,
+	ChargeCreate: func(m *hw.Machine) { m.ChargeKB(m.Cost.ZeroPerKB, l2TableBytes) },
+}
+
 // Create makes a new two-level page table (pmap_create).
 func (mod *Module) Create() pmap.Map {
-	nm := &nsMap{mod: mod, l1: make(map[uint32]*l2table)}
+	nm := &nsMap{mod: mod}
 	nm.InitCore()
+	nm.pt.Init(&mod.ModuleBase, &geometry, nm, &nm.MapCore)
 	return nm
-}
-
-type pte struct {
-	pfn   vmtypes.PFN
-	prot  vmtypes.Prot
-	valid bool
-	wired bool
-}
-
-type l2table struct {
-	ptes [l2Entries]pte
-	used int
 }
 
 type nsMap struct {
 	pmap.MapCore
 	mod *Module
-
-	mu       sync.Mutex
-	l1       map[uint32]*l2table
-	resident int
-}
-
-func (m *nsMap) tableFor(vpn uint64, create bool) *l2table {
-	idx := uint32(vpn / l2Entries)
-	t := m.l1[idx]
-	if t == nil && create {
-		t = &l2table{}
-		m.l1[idx] = t
-		m.mod.Machine().ChargeKB(m.mod.Machine().Cost.ZeroPerKB, l2TableBytes)
-		m.mod.Stats().AddTableBytes(l2TableBytes)
-	}
-	return t
+	pt  pmap.Table
 }
 
 // Enter establishes one hardware mapping (pmap_enter).
 func (m *nsMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if va >= MaxUserVA {
-		panic("ns32082: virtual address beyond the 16MB page-table limit")
-	}
 	if int(pfn) >= m.mod.MaxFrames() {
 		panic("ns32082: physical frame beyond the 32MB addressing limit")
 	}
-	mod := m.mod
-	vpn := uint64(va) / HWPageSize
-	mod.Stats().Enters.Add(1)
-	mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-
-	m.mu.Lock()
-	t := m.tableFor(vpn, true)
-	e := &t.ptes[vpn%l2Entries]
-	replaced := e.valid
-	oldPFN := e.pfn
-	if !e.valid {
-		t.used++
-		m.resident++
-	}
-	*e = pte{pfn: pfn, prot: prot, valid: true, wired: wired}
-	m.mu.Unlock()
-
-	if replaced {
-		if oldPFN != pfn {
-			mod.DB().RemovePV(oldPFN, m, va&^vmtypes.VA(HWPageSize-1))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
+	m.pt.Enter(va, pfn, prot, wired)
 }
 
 // Remove invalidates mappings in [start, end) (pmap_remove).
-func (m *nsMap) Remove(start, end vmtypes.VA) {
-	mod := m.mod
-	mod.Stats().Removes.Add(1)
-	if end > MaxUserVA {
-		end = MaxUserVA
-	}
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		t := m.tableFor(vpn, false)
-		if t == nil {
-			m.mu.Unlock()
-			vpn = (vpn/l2Entries+1)*l2Entries - 1
-			continue
-		}
-		e := &t.ptes[vpn%l2Entries]
-		if !e.valid {
-			m.mu.Unlock()
-			continue
-		}
-		pfn := e.pfn
-		*e = pte{}
-		t.used--
-		m.resident--
-		if t.used == 0 {
-			delete(m.l1, uint32(vpn/l2Entries))
-			mod.Stats().AddTableBytes(-l2TableBytes)
-		}
-		m.mu.Unlock()
-
-		mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-		mod.DB().RemovePV(pfn, m, vmtypes.VA(vpn*HWPageSize))
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-}
+func (m *nsMap) Remove(start, end vmtypes.VA) { m.pt.Remove(start, end) }
 
 // Protect reduces protection on [start, end) (pmap_protect).
-func (m *nsMap) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
-	mod := m.mod
-	mod.Stats().Protects.Add(1)
-	if end > MaxUserVA {
-		end = MaxUserVA
-	}
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		t := m.tableFor(vpn, false)
-		if t == nil {
-			m.mu.Unlock()
-			vpn = (vpn/l2Entries+1)*l2Entries - 1
-			continue
-		}
-		e := &t.ptes[vpn%l2Entries]
-		changed := false
-		if e.valid {
-			np := e.prot.Intersect(prot)
-			changed = np != e.prot
-			e.prot = np
-		}
-		m.mu.Unlock()
-		if changed {
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), false)
-		}
-	}
-}
+func (m *nsMap) Protect(start, end vmtypes.VA, prot vmtypes.Prot) { m.pt.Protect(start, end, prot) }
 
 // Walk performs the two-level hardware table walk.
-func (m *nsMap) Walk(va vmtypes.VA) (vmtypes.PFN, vmtypes.Prot, bool) {
-	mod := m.mod
-	mod.Stats().Walks.Add(1)
-	mod.Machine().Charge(2 * mod.Machine().Cost.WalkLevel)
-	if va >= MaxUserVA {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tableFor(vpn, false)
-	if t == nil || !t.ptes[vpn%l2Entries].valid {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	e := t.ptes[vpn%l2Entries]
-	return e.pfn, e.prot, true
-}
+func (m *nsMap) Walk(va vmtypes.VA) (vmtypes.PFN, vmtypes.Prot, bool) { return m.pt.Walk(va, 2, 2) }
 
 // Extract returns the frame mapped at va (pmap_extract).
-func (m *nsMap) Extract(va vmtypes.VA) (vmtypes.PFN, bool) {
-	if va >= MaxUserVA {
-		return 0, false
-	}
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tableFor(vpn, false)
-	if t == nil || !t.ptes[vpn%l2Entries].valid {
-		return 0, false
-	}
-	return t.ptes[vpn%l2Entries].pfn, true
-}
+func (m *nsMap) Extract(va vmtypes.VA) (vmtypes.PFN, bool) { return m.pt.Extract(va) }
 
 // Access reports whether va is mapped (pmap_access).
 func (m *nsMap) Access(va vmtypes.VA) bool {
-	_, ok := m.Extract(va)
+	_, ok := m.pt.Extract(va)
 	return ok
 }
 
@@ -300,68 +166,20 @@ func (m *nsMap) Deactivate(cpu *hw.CPU) {
 
 // Collect throws away non-wired mappings and empty second-level tables.
 func (m *nsMap) Collect() {
-	mod := m.mod
-	mod.Stats().Collects.Add(1)
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for idx, t := range m.l1 {
-		for i := range t.ptes {
-			e := &t.ptes[i]
-			if e.valid && !e.wired {
-				victims = append(victims, victim{vpn: uint64(idx)*l2Entries + uint64(i), pfn: e.pfn})
-				*e = pte{}
-				t.used--
-				m.resident--
-			}
-		}
-		if t.used == 0 {
-			delete(m.l1, idx)
-			mod.Stats().AddTableBytes(-l2TableBytes)
-		}
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
+	m.mod.Stats().Collects.Add(1)
+	m.pt.DropUnwired()
 }
 
 // Destroy drops a reference and frees the tables when none remain.
 func (m *nsMap) Destroy() {
-	if !m.Release() {
-		return
+	if m.Release() {
+		m.pt.DropAll()
 	}
-	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for idx, t := range m.l1 {
-		for i := range t.ptes {
-			if e := t.ptes[i]; e.valid {
-				victims = append(victims, victim{vpn: uint64(idx)*l2Entries + uint64(i), pfn: e.pfn})
-			}
-		}
-		delete(m.l1, idx)
-		mod.Stats().AddTableBytes(-l2TableBytes)
-	}
-	m.resident = 0
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
 }
 
 // ResidentCount returns the number of hardware mappings held.
-func (m *nsMap) ResidentCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident
-}
+func (m *nsMap) ResidentCount() int { return m.pt.Resident() }
+
+// CheckSuperInvariants runs the table's invariant walker. The NS32082
+// never promotes, so it also checks that no table is marked super.
+func (m *nsMap) CheckSuperInvariants() error { return m.pt.CheckInvariants() }

@@ -23,11 +23,13 @@ type modelMapping struct {
 
 func TestPmapModelProperty(t *testing.T) {
 	forEachArch(t, func(t *testing.T, a testArch) {
-		machine, mod := newTestMachine(a, 1)
-		_ = machine
+		_, mod := newTestMachine(a, 1)
+		tableBytes0 := mod.Stats().TableBytes.Load()
 		pm := mod.Create()
-		defer pm.Destroy()
 		ps := uint64(a.hwPageSize)
+		// The table-backed modules (vax, sun3, ns32082) run the shared
+		// table's invariant walker after every mutating step.
+		walker, _ := pm.(invariantWalker)
 
 		rng := rand.New(rand.NewSource(1234))
 		model := make(map[uint64]modelMapping) // vpn -> mapping
@@ -74,11 +76,6 @@ func TestPmapModelProperty(t *testing.T) {
 				for d := uint64(0); d < n; d++ {
 					model[vpn+d] = modelMapping{pfn: pfnFor(vpn + d), prot: prot}
 				}
-				if sm, ok := pm.(superMap); ok {
-					if err := sm.CheckSuperInvariants(); err != nil {
-						t.Fatalf("%s: superpage invariants after EnterRange: %v", a.name, err)
-					}
-				}
 			case 7: // collect: pmap may forget all non-wired mappings
 				pm.Collect()
 				for v, mm := range model {
@@ -92,10 +89,20 @@ func TestPmapModelProperty(t *testing.T) {
 				checkVPN := uint64(rng.Intn(vpnSpace))
 				verifyVPN(t, a, pm, model, checkVPN, ps)
 			}
+			if walker != nil {
+				if err := walker.CheckSuperInvariants(); err != nil {
+					t.Fatalf("%s: table invariants after step %d: %v", a.name, i, err)
+				}
+			}
 		}
 		// Full final sweep.
 		for vpn := uint64(0); vpn < vpnSpace; vpn++ {
 			verifyVPN(t, a, pm, model, vpn, ps)
+		}
+		// Every table block the map built is freed, and uncounted, with it.
+		pm.Destroy()
+		if got := mod.Stats().TableBytes.Load(); got != tableBytes0 {
+			t.Fatalf("%s: TableBytes = %d after Destroy; want %d", a.name, got, tableBytes0)
 		}
 	})
 }
