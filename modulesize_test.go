@@ -45,6 +45,8 @@ func TestPmapModuleSize(t *testing.T) {
 		miLines += l
 	}
 	t.Logf("machine-independent layer: %d lines", miLines)
+	shared, sharedBytes := sourceLines(t, "internal/pmap")
+	t.Logf("shared pmap package : %4d lines, %5d bytes (contract, PhysDB, shootdown, PTE-block table)", shared, sharedBytes)
 	for _, m := range machines {
 		lines, bytes := sourceLines(t, filepath.Join("internal/pmap", m))
 		t.Logf("pmap module %-8s: %4d lines, %5d bytes", m, lines, bytes)
